@@ -20,9 +20,16 @@ runs as one discrete-event simulation on the
 :class:`~repro.sim.engine.Environment`: one arrival/dispatch process,
 one engine process per replica (the same vLLM-style iteration model as
 the single-replica scheduler), plus optional failure and autoscaler
-processes.  Everything stays deterministic: the DES queue breaks ties
-by sequence number, routers are seeded, and admission sorts carry the
-request id as final tiebreaker.
+processes.  Each replica admits through its own
+:class:`~repro.serve.admission.WaitingQueue`, the admission core the
+single-replica scheduler uses too: static policies (fcfs, spf) keep the
+queue sorted by binary insertion, so crash and probation re-dispatches
+land in order; time-varying ones (slo, unmarked custom policies) are
+re-sorted at each admission instant; the walk stops once the batch's
+free slots or token budget are used up.  Everything stays
+deterministic: the DES queue breaks ties by sequence number, routers
+are seeded, and admission order carries the request id as final
+tiebreaker.
 
 Modelling notes:
 
@@ -76,6 +83,7 @@ from repro.fleet.metrics import (
 )
 from repro.fleet.router import Router, make_router
 from repro.fleet.spec import FleetScenario, ReplicaSpec
+from repro.serve.admission import WaitingQueue
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, TimelinePoint
 from repro.serve.scheduler import (
@@ -118,8 +126,9 @@ class _Replica:
     """Live state of one engine replica inside the co-simulation.
 
     Doubles as the router's candidate view: ``queue_depth`` /
-    ``running`` / ``backlog_tokens`` are computed from the real queues,
-    so state-dependent policies observe exactly what the engine does.
+    ``running`` / ``backlog_tokens`` read the real queues (the waiting
+    queue keeps its prompt-token total as it changes), so
+    state-dependent policies observe exactly what the engine does.
     """
 
     def __init__(
@@ -128,12 +137,13 @@ class _Replica:
         spec: ReplicaSpec,
         cost_model: StepCostModel,
         active: bool,
+        waiting_q: WaitingQueue,
     ):
         self.index = index
         self.spec = spec
         self.role = spec.role
         self.cost_model = cost_model
-        self.waiting_q: list[_Sequence] = []
+        self.waiting_q = waiting_q
         self.running_q: list[_Sequence] = []
         self.current_admitted: list[_Sequence] = []
         self.healthy = True
@@ -173,7 +183,7 @@ class _Replica:
         waiting decode resume) plus one token per running sequence."""
         if self.role == "decode":
             return len(self.waiting_q) + self.running
-        return sum(s.request.prompt_tokens for s in self.waiting_q) + self.running
+        return self.waiting_q.prompt_tokens + self.running
 
     def routable(self, now: float) -> bool:
         return (
@@ -372,6 +382,9 @@ class FleetEngine:
             _Replica(
                 index=index, spec=spec, cost_model=self.cost_models[index],
                 active=index < initial_active,
+                waiting_q=WaitingQueue(
+                    self._policy, self.cost_models[index], scenario.slo_ttft_ms
+                ),
             )
             for index, spec in enumerate(self._expanded)
         ]
@@ -452,7 +465,7 @@ class FleetEngine:
         self._dispatches.append(
             DispatchRecord(seq.request.rid, now, pick.index, pool)
         )
-        pick.waiting_q.append(seq)
+        pick.waiting_q.push(seq, now)
         pick.wake()
 
     def _flush_pending(self, now: float) -> None:
@@ -551,7 +564,7 @@ class FleetEngine:
         if not arrived:
             return
         if rep.routable(now):
-            rep.waiting_q.extend(arrived)
+            rep.waiting_q.extend(arrived, now)
             rep.wake()
             return
         # Destination crashed or was quarantined in flight: the payload
@@ -616,7 +629,7 @@ class FleetEngine:
         seq.cancelled = True
         seq.attempt += 1
         for rep in self._replicas:
-            _discard(rep.waiting_q, seq)
+            rep.waiting_q.discard(seq)
             _discard(rep.current_admitted, seq)
             _discard(rep.running_q, seq)
         for queue in self._pending.values():
@@ -654,44 +667,6 @@ class FleetEngine:
             self._dispatch(seq, env.now)
 
     # -- per-replica engine ---------------------------------------------------
-    def _admit(self, rep: _Replica, now: float) -> list[_Sequence]:
-        """Replica-local admission: the single-replica algorithm, with a
-        decode twist — a resuming decode costs one budget token, not its
-        prompt length (its KV is already resident)."""
-        if not rep.waiting_q:
-            return []
-        rep.waiting_q.sort(
-            key=lambda seq: (
-                self._policy(seq, now, rep.cost_model, self.scenario.slo_ttft_ms),
-                seq.request.rid,
-            )
-        )
-        decode_role = rep.role == "decode"
-        running_count = len(rep.running_q)
-        admitted: list[_Sequence] = []
-        used = running_count
-        slots = self.scenario.max_batch_size - running_count
-        remaining: list[_Sequence] = []
-        budget = self.scenario.max_batch_tokens
-        for index, seq in enumerate(rep.waiting_q):
-            cost = 1 if decode_role else seq.request.prompt_tokens
-            if (
-                not decode_role
-                and not admitted
-                and not running_count
-                and cost > budget
-            ):
-                admitted.append(seq)
-                remaining.extend(rep.waiting_q[index + 1:])
-                break
-            if len(admitted) < slots and used + cost <= budget:
-                admitted.append(seq)
-                used += cost
-            else:
-                remaining.append(seq)
-        rep.waiting_q = remaining
-        return admitted
-
     def _engine(self, env: Environment, rep: _Replica) -> Generator:
         total = len(self.trace)
         while True:
@@ -707,7 +682,13 @@ class FleetEngine:
                 continue
 
             now = env.now
-            rep.current_admitted = self._admit(rep, now)
+            rep.current_admitted = rep.waiting_q.admit(
+                now,
+                len(rep.running_q),
+                self.scenario.max_batch_size,
+                self.scenario.max_batch_tokens,
+                decode_role=rep.role == "decode",
+            )
             admitted = rep.current_admitted
             if rep.role == "decode":
                 prefill_tokens = 0
@@ -819,8 +800,7 @@ class FleetEngine:
             self._events.append(FleetEvent(env.now, rep.index, "fail"))
             # Reclaim everything the replica held; its KV is gone, so
             # every sequence restarts from un-prefilled state.
-            reclaimed = rep.waiting_q + rep.current_admitted + rep.running_q
-            rep.waiting_q = []
+            reclaimed = rep.waiting_q.drain() + rep.current_admitted + rep.running_q
             rep.running_q = []
             rep.current_admitted = []
             if rep.in_step:
@@ -925,8 +905,7 @@ class FleetEngine:
         res = self._resilience
         rep.probations += 1
         rep.ttft_samples = []
-        drained = rep.waiting_q
-        rep.waiting_q = []
+        drained = rep.waiting_q.drain()
         if rep.probations > res.max_probations:
             rep.evicted = True
             self._events.append(FleetEvent(now, rep.index, "evict"))

@@ -32,6 +32,7 @@ from repro.api.registry import (
     resolve_cluster,
     resolve_model,
 )
+from repro.api.validate import check_positive
 from repro.faults.migration import MigrationSpec
 from repro.faults.plan import FailureEvent, FaultPlan, TimeVaryingStepCost
 from repro.faults.resilience import ResilienceSpec
@@ -218,8 +219,10 @@ class FleetScenario:
                 f"unknown policy {self.policy!r}; valid policies: "
                 f"{', '.join(POLICY_REGISTRY.names())}"
             )
-        if self.slo_ttft_ms <= 0 or self.slo_tpot_ms <= 0:
-            raise ValueError("SLO targets must be positive")
+        for name in (
+            "max_batch_tokens", "max_batch_size", "slo_ttft_ms", "slo_tpot_ms"
+        ):
+            check_positive(name, getattr(self, name))
         check_policy(self.overlap_policy)
         if self.autoscaler is not None:
             if roles != {"unified"}:

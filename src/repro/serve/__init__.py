@@ -3,8 +3,10 @@
 This subsystem turns the repository's per-layer system timings into a
 request-level serving simulator: seeded traffic generators
 (:mod:`repro.serve.traffic`) feed a continuous-batching scheduler
-(:mod:`repro.serve.scheduler`) whose per-iteration step costs are
-composed from ``MoESystem.time_layer`` over the model's layers
+(:mod:`repro.serve.scheduler`, admitting through the ordered waiting
+queue in :mod:`repro.serve.admission` that fleet replicas share) whose
+per-iteration step costs are composed from ``MoESystem.time_layer``
+over the model's layers
 (:mod:`repro.serve.engine_adapter`), producing TTFT/TPOT/goodput
 reports (:mod:`repro.serve.metrics`).  :mod:`repro.serve.scenario`
 exposes the declarative ``ServeScenario`` / ``ServeSpec.grid`` API that

@@ -24,6 +24,7 @@ from repro.api.registry import (
     resolve_cluster,
     resolve_model,
 )
+from repro.api.validate import check_positive
 from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
@@ -69,8 +70,10 @@ class ServeScenario:
                 f"unknown policy {self.policy!r}; valid policies: "
                 f"{', '.join(POLICY_REGISTRY.names())}"
             )
-        if self.slo_ttft_ms <= 0 or self.slo_tpot_ms <= 0:
-            raise ValueError("SLO targets must be positive")
+        for name in (
+            "max_batch_tokens", "max_batch_size", "slo_ttft_ms", "slo_tpot_ms"
+        ):
+            check_positive(name, getattr(self, name))
         check_policy(self.overlap_policy)
         if (
             self.stragglers is not None

@@ -19,9 +19,17 @@ order is pluggable through :data:`POLICY_REGISTRY` — FCFS,
 shortest-prompt-first, and an SLO-aware least-slack policy ship
 built in.
 
+Both loops admit through one
+:class:`~repro.serve.admission.WaitingQueue`: a policy whose priority
+ignores ``now`` (fcfs, spf) is marked ``static`` and the queue stays
+sorted by binary insertion; any other policy — slo, or a custom
+:data:`POLICY_REGISTRY` entry without the mark — is re-sorted at each
+admission instant.  Admission walks the queue front to back and stops
+once the batch's free slots or token budget are used up.
+
 Everything is deterministic: the trace is fixed, the DES event queue
-breaks ties by sequence number, and admission sorts use stable keys with
-the request id as final tiebreaker.
+breaks ties by sequence number, and admission order is ``(priority,
+rid)`` with the request id as final tiebreaker.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator
 
 from repro.api.registry import Registry
+from repro.api.validate import check_positive
 from repro.perf import CONFIG as PERF_CONFIG
+from repro.serve.admission import WaitingQueue
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, TimelinePoint
 from repro.serve.traffic import Request
@@ -58,27 +68,32 @@ class _Sequence:
 
 # A policy maps (waiting sequence, now_ms, cost_model, slo_ttft_ms) to a
 # sortable priority — lower runs first.  The request id is appended as a
-# final tiebreaker by the scheduler, keeping every policy deterministic.
+# final tiebreaker by the queue, keeping every policy deterministic.  A
+# policy whose priority never reads now_ms sets ``static = True`` on the
+# function, so the queue keys each request once instead of re-sorting.
 SchedulerPolicy = Callable[[_Sequence, float, StepCostModel, float], float]
 
 POLICY_REGISTRY = Registry("policy")
 
 
-def _register(name: str) -> Callable[[SchedulerPolicy], SchedulerPolicy]:
+def _register(
+    name: str, static: bool = False
+) -> Callable[[SchedulerPolicy], SchedulerPolicy]:
     def decorate(fn: SchedulerPolicy) -> SchedulerPolicy:
+        fn.static = static
         POLICY_REGISTRY.register(name, fn)
         return fn
 
     return decorate
 
 
-@_register("fcfs")
+@_register("fcfs", static=True)
 def fcfs(seq: _Sequence, now: float, cost: StepCostModel, slo: float) -> float:
     """First come, first served: admit in arrival order."""
     return seq.request.arrival_ms
 
 
-@_register("spf")
+@_register("spf", static=True)
 def shortest_prompt_first(
     seq: _Sequence, now: float, cost: StepCostModel, slo: float
 ) -> float:
@@ -142,16 +157,10 @@ class ContinuousBatchingScheduler:
     busy_ms: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.max_batch_tokens <= 0:
-            raise ValueError(
-                f"max_batch_tokens must be positive, got {self.max_batch_tokens}"
-            )
-        if self.max_batch_size <= 0:
-            raise ValueError(
-                f"max_batch_size must be positive, got {self.max_batch_size}"
-            )
+        check_positive("max_batch_tokens", self.max_batch_tokens)
+        check_positive("max_batch_size", self.max_batch_size)
+        check_positive("slo_ttft_ms", self.slo_ttft_ms)
         self._policy: SchedulerPolicy = POLICY_REGISTRY.get(self.policy)
-        self._waiting: list[_Sequence] = []
         self._running: list[_Sequence] = []
         self._pending_arrivals = 0
         self._wakeup: Event | None = None
@@ -162,50 +171,10 @@ class ContinuousBatchingScheduler:
             delay = request.arrival_ms - env.now
             if delay > 0:
                 yield env.timeout(delay)
-            self._waiting.append(_Sequence(request))
+            self._waiting.push(_Sequence(request), env.now)
             self._pending_arrivals -= 1
             if self._wakeup is not None and not self._wakeup.triggered:
                 self._wakeup.succeed()
-
-    def _admit(self, now: float, running_count: int) -> list[_Sequence]:
-        """Pop waiting sequences into this iteration, policy-ordered.
-
-        The budget covers one token per running decode plus each admitted
-        prompt.  A prompt longer than the whole budget is admitted alone
-        on an otherwise-empty engine (it can never fit better), so no
-        request can deadlock the queue.
-        """
-        if not self._waiting:
-            return []
-        self._waiting.sort(
-            key=lambda seq: (
-                self._policy(seq, now, self.cost_model, self.slo_ttft_ms),
-                seq.request.rid,
-            )
-        )
-        admitted: list[_Sequence] = []
-        used = running_count
-        slots = self.max_batch_size - running_count
-        remaining: list[_Sequence] = []
-        for index, seq in enumerate(self._waiting):
-            prompt = seq.request.prompt_tokens
-            if (
-                not admitted
-                and not running_count
-                and prompt > self.max_batch_tokens
-            ):
-                # A prompt longer than the whole budget on an idle engine:
-                # run it by itself; everything else waits a turn.
-                admitted.append(seq)
-                remaining.extend(self._waiting[index + 1:])
-                break
-            if len(admitted) < slots and used + prompt <= self.max_batch_tokens:
-                admitted.append(seq)
-                used += prompt
-            else:
-                remaining.append(seq)
-        self._waiting = remaining
-        return admitted
 
     def _engine(self, env: Environment) -> Generator:
         while self._pending_arrivals or self._waiting or self._running:
@@ -217,7 +186,9 @@ class ContinuousBatchingScheduler:
                 continue
 
             now = env.now
-            admitted = self._admit(now, len(self._running))
+            admitted = self._waiting.admit(
+                now, len(self._running), self.max_batch_size, self.max_batch_tokens
+            )
             prefill_tokens = sum(s.request.prompt_tokens for s in admitted)
             decode_tokens = len(self._running)
             self.timeline.append(
@@ -307,7 +278,7 @@ class ContinuousBatchingScheduler:
                     eid += 1
                     a_event = (t + delay, eid)
                     return
-                self._waiting.append(_Sequence(request))
+                self._waiting.push(_Sequence(request), t)
                 a_index += 1
                 self._pending_arrivals -= 1
                 if engine_sleeping and w_event is None:
@@ -347,7 +318,9 @@ class ContinuousBatchingScheduler:
                 engine_sleeping = True  # wakeup Event created, not scheduled
                 e_event = None
                 return
-            admitted = self._admit(t, running_count)
+            admitted = self._waiting.admit(
+                t, running_count, self.max_batch_size, self.max_batch_tokens
+            )
             prefill_tokens = sum(s.request.prompt_tokens for s in admitted)
             decode_tokens = running_count
             self.timeline.append(
@@ -421,7 +394,7 @@ class ContinuousBatchingScheduler:
         self.records.clear()
         self.timeline.clear()
         self.busy_ms = 0.0
-        self._waiting.clear()
+        self._waiting = WaitingQueue(self._policy, self.cost_model, self.slo_ttft_ms)
         self._running.clear()
         self._pending_arrivals = len(self.trace)
         if PERF_CONFIG.fast_serve_loop:

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.api.registry import Registry
+from repro.api.validate import check_nonnegative, check_positive
 
 __all__ = ["Request", "TRACE_REGISTRY", "TraceSpec", "build_trace"]
 
@@ -95,13 +96,12 @@ class TraceSpec:
                 f"unknown trace kind {self.kind!r}; valid kinds: "
                 f"{', '.join(TRACE_REGISTRY.names())}"
             )
-        if self.kind != "replay":
-            if self.rps <= 0:
-                raise ValueError(f"rps must be positive, got {self.rps}")
-            if self.duration_s <= 0:
-                raise ValueError(
-                    f"duration_s must be positive, got {self.duration_s}"
-                )
+        check_positive("rps", self.rps)
+        check_positive("duration_s", self.duration_s)
+        check_positive("burst_factor", self.burst_factor)
+        check_positive("burst_dwell_s", self.burst_dwell_s)
+        check_nonnegative("prompt_sigma", self.prompt_sigma)
+        check_nonnegative("output_sigma", self.output_sigma)
         if not 0 < self.burst_fraction < 1:
             raise ValueError(
                 f"burst_fraction must lie in (0, 1), got {self.burst_fraction}"
