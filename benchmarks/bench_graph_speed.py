@@ -1,21 +1,16 @@
-"""Graph-scheduler speed benchmark: symmetry + batch vs the list scheduler.
+"""Graph-scheduler speed benchmark: the production path vs the list scheduler.
 
-Measures the two graph-level fast paths of the raw-speed round-2 work
-and enforces the bit-identity contract while doing so:
-
-* **grid** — a world-64 straggler grid (slow-rank compute multipliers x
-  slow-rank positions, the Figure 14-style skew axis at pod scale), each
-  point lowered to a per-rank forward graph and scheduled.  Slow = the
-  original heapq list scheduler per graph (:func:`repro.perf.disabled`);
-  fast = :func:`repro.perf.cached_graph_schedule`, which folds the 64
-  ranks down to their straggler equivalence classes
-  (:func:`repro.graph.scheduler.reduce_symmetry`) and replays the
-  compiled chain recurrence (:mod:`repro.graph.batch`).  Every start,
-  finish, and per-rank makespan must match ``==`` — never approximately.
-* **batch** — the same duration-grid expressed as one
-  :func:`repro.graph.batch.schedule_batch` call: all graphs share one
-  topology fingerprint, so the wave recurrence runs once over a
-  ``(batch, nodes)`` duration matrix instead of per graph.
+Schedules a world-64 straggler grid (slow-rank compute multipliers x
+slow-rank positions, the Figure 14-style skew axis at pod scale), each
+point lowered to a per-rank forward graph, and enforces the
+bit-identity contract while doing so.  Slow = the heapq list scheduler
+per graph (the reference path of :func:`repro.perf.disabled`); fast =
+:func:`repro.perf.cached_graph_schedule`, whose cache misses run
+:func:`repro.graph.batch.schedule`: it folds the 64 ranks down to their
+straggler equivalence classes
+(:func:`repro.graph.scheduler.rank_classes`) and replays the compiled
+chain recurrence on the reduced graph.  Every start, finish, and
+per-rank makespan must match ``==`` — never approximately.
 
 Run directly (CI smoke step) to emit ``BENCH_graph_speed.json``::
 
@@ -38,7 +33,6 @@ from repro.graph import (
     build_forward_graph,
     list_schedule,
     reduce_symmetry,
-    schedule_batch,
 )
 
 WORLD_SIZE = 64
@@ -122,48 +116,20 @@ def bench_grid(quick: bool = False) -> dict:
     }
 
 
-def bench_batch(quick: bool = False) -> dict:
-    """One schedule_batch call over the grid vs per-graph list scheduling."""
-    graphs = _graphs(quick)
-
-    t0 = time.perf_counter()
-    with perf.disabled():
-        slow = [list_schedule(graph) for graph in graphs]
-    slow_s = time.perf_counter() - t0
-
-    perf.clear_caches()
-    t0 = time.perf_counter()
-    batched = schedule_batch(graphs)
-    batch_s = time.perf_counter() - t0
-
-    return {
-        "graphs": len(graphs),
-        "wall_s_slow": slow_s,
-        "wall_s_batched": batch_s,
-        "speedup": slow_s / batch_s,
-        "identical_output": all(
-            _identical(b, s) for b, s in zip(batched, slow)
-        ),
-    }
-
-
 def run_benchmark(quick: bool = False) -> dict:
     return {
         "benchmark": "graph_speed",
         "mode": "quick" if quick else "full",
         "grid": bench_grid(quick),
-        "batch": bench_batch(quick),
     }
 
 
 def _check(payload: dict) -> list[str]:
     """The acceptance conditions; returns human-readable failures."""
     failures = []
-    grid, batch = payload["grid"], payload["batch"]
+    grid = payload["grid"]
     if not grid["identical_output"]:
         failures.append("grid fast path is not bit-identical to list_schedule")
-    if not batch["identical_output"]:
-        failures.append("batched schedules are not bit-identical to list_schedule")
     target = grid["target_speedup"]
     if grid["speedup"] < target:
         failures.append(f"grid speedup {grid['speedup']:.2f}x < {target}x")
@@ -189,16 +155,12 @@ def main() -> int:
     payload = run_benchmark(quick=args.quick)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
-    grid, batch = payload["grid"], payload["batch"]
+    grid = payload["grid"]
     print(
         f"grid:  {grid['wall_s_slow']:.3f}s -> {grid['wall_s_fast']:.3f}s "
         f"({grid['speedup']:.2f}x over {grid['graphs']} world-{WORLD_SIZE} "
         f"graphs, {grid['scheduled_ranks']} scheduled ranks, "
         f"identical={grid['identical_output']})"
-    )
-    print(
-        f"batch: {batch['wall_s_slow']:.3f}s -> {batch['wall_s_batched']:.3f}s "
-        f"({batch['speedup']:.2f}x, identical={batch['identical_output']})"
     )
     failures = _check(payload)
     for failure in failures:

@@ -223,10 +223,11 @@ path).  See ``examples/straggler_sweep.py``.
 
 Performance architecture.  Simulation speed is a feature: the same
 ``MoESystem.time_layer`` core prices figure grids, training steps, and
-tens of thousands of serving iterations, so :mod:`repro.perf` layers
-fast paths over the whole stack — each one verified *bit-identical*
-against the slow path it replaces (the equivalence tests enforce it,
-and ``benchmarks/bench_sim_speed.py`` measures the speedup):
+tens of thousands of serving iterations, so each tier runs one fast
+production path, verified *bit-identical* against the reference path it
+keeps as its oracle (the equivalence tests and committed golden digests
+enforce it, and ``benchmarks/bench_sim_speed.py`` measures the
+speedup), and :mod:`repro.perf` caches the results across the stack:
 
 * **Analytic list scheduling** — the layer0 fused kernel's per-tile
   heapq loop collapses to a vectorised wave recurrence
@@ -245,15 +246,14 @@ and ``benchmarks/bench_sim_speed.py`` measures the speedup):
 * **Graph symmetry reduction** — rank-blocked multi-rank graphs fold
   exchangeable ranks to one representative stream pair per straggler
   equivalence class before scheduling
-  (:func:`repro.graph.scheduler.reduce_symmetry`): a world-64 graph
+  (:func:`repro.graph.scheduler.rank_classes`): a world-64 graph
   with one slow rank schedules 2 ranks and replicates the start/finish
   floats back out, bit for bit.
-* **Batched grid scheduling** — chain-compatible topologies compile
-  once per :func:`repro.perf.topology_key` into a max/add recurrence
-  (:mod:`repro.graph.batch`); :func:`repro.graph.batch.schedule_batch`
-  replays it across a whole ``(batch, nodes)`` duration matrix in
-  numpy.  ``benchmarks/bench_graph_speed.py`` enforces the >= 10x
-  world-64 straggler-grid floor with exact output equality.
+* **Compiled graph scheduling** — chain-compatible topologies compile
+  once per :func:`repro.graph.batch.topology_key` into a max/add
+  recurrence, and :func:`repro.graph.batch.schedule` runs it after the
+  symmetry fold.  ``benchmarks/bench_graph_speed.py`` enforces the
+  >= 10x world-64 straggler-grid floor with exact output equality.
 * **Parallel grids** — ``ExperimentSpec.run(workers=N)`` and
   ``ServeSpec.run(workers=N)`` execute grid points on threads with
   row ordering identical to the serial run (CLI: ``--workers N``);
@@ -263,8 +263,10 @@ and ``benchmarks/bench_sim_speed.py`` measures the speedup):
   into :func:`repro.perf.cache_stats` (``--report`` shows the
   per-process totals).
 
-``repro.perf.disabled()`` restores the original serial behaviour
-wholesale::
+``repro.perf.disabled()`` sets the one switch,
+``repro.perf.CONFIG.reference``: every tier runs its reference path
+(the heapq layer0 loop, COMET's full rank loop, the serving DES, the
+list scheduler) and every cache is bypassed::
 
     from repro import perf
 

@@ -17,17 +17,17 @@ intra-layer overlapping the systems already model:
   specs (slow ranks, degraded links, skewed expert placement) that turn
   the lowering per-rank, with cross-rank barrier edges at every
   dispatch/combine/grad-sync collective;
-* :mod:`repro.graph.batch` — compiled chain-topology recurrence and
-  batched scheduling over same-topology duration vectors, plus the
-  rank-symmetry fold in :mod:`repro.graph.scheduler` — both bit-exact
-  against the list scheduler and gated by :mod:`repro.perf` flags.
+* :mod:`repro.graph.batch` — the production scheduling path: the
+  rank-symmetry fold of :mod:`repro.graph.scheduler`, then the compiled
+  chain-topology recurrence, with every compiled structure cached per
+  topology.  It is bit-exact against the list scheduler, which
+  :func:`repro.perf.disabled` restores.
 """
 
 from repro.graph.batch import (
     CompiledTopology,
     compile_topology,
     fast_schedule,
-    schedule_batch,
 )
 from repro.graph.des_ref import des_schedule
 from repro.graph.ir import (
@@ -86,7 +86,6 @@ __all__ = [
     "list_schedule",
     "rank_makespans",
     "reduce_symmetry",
-    "schedule_batch",
     "training_makespan",
     "training_schedule",
 ]

@@ -1,11 +1,11 @@
-"""Batched analytic scheduling: one compiled topology, many duration vectors.
+"""Compiled graph scheduling: one topology, many duration vectors.
 
 Grid sweeps schedule thousands of graphs that share a *topology* —
 node kinds, streams, and dependency edges — and differ only in node
 durations (one graph per system x scenario x straggler point).  The
 list scheduler re-derives the dispatch order from scratch for each one;
 this module compiles the order once per topology and replays it as a
-pure max/add recurrence, the same generalisation step the PR 3 wave
+pure max/add recurrence, the same generalisation step the wave
 scheduler applied to the per-tile heapq loop in
 :mod:`repro.kernels.fused`.
 
@@ -32,31 +32,43 @@ scheduler.  :func:`compile_topology` verifies the property exactly, per
 topology, with a per-stream reachability pass — there is no heuristic
 that could silently change results.
 
-:func:`schedule_batch` stacks same-topology duration vectors into a
-``(batch, nodes)`` matrix and runs the recurrence across the whole
-batch per node; :func:`fast_schedule` is the single-graph form used by
-:func:`repro.perf.cached_graph_schedule` on every cache miss (the
-compiled topology itself is cached process-wide in
-:data:`repro.perf.GRAPH_BATCH_CACHE`, keyed by the builder's O(1)
-``topology_token`` when present and by
-:meth:`~repro.graph.ir.ScheduleGraph.topology_fingerprint` otherwise,
-so a sweep pays the compilation once).
+:func:`schedule` is the production entry point behind
+:func:`repro.perf.cached_graph_schedule`.  Rank-blocked multi-rank
+graphs first fold exchangeable ranks to one representative per class
+(:func:`~repro.graph.scheduler.rank_classes`), schedule the reduced
+graph, and expand the times back out
+(:func:`~repro.graph.scheduler.expand_symmetry`).  Every
+duration-independent artifact — the compiled topology, the block
+structure, the compiled reduced topology — is cached in
+:data:`repro.perf.GRAPH_BATCH_CACHE`, keyed by :func:`topology_key`, so
+a sweep pays each compilation once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro import perf
 from repro.graph.ir import ScheduleGraph
-from repro.graph.scheduler import GraphSchedule, list_schedule
+from repro.graph.scheduler import (
+    GraphSchedule,
+    block_structure,
+    expand_symmetry,
+    list_schedule,
+    rank_classes,
+    reduced_graph,
+)
 
 __all__ = [
     "CompiledTopology",
     "compile_topology",
+    "compiled_topology",
     "fast_schedule",
-    "schedule_batch",
+    "schedule",
+    "topology_key",
 ]
 
 
@@ -68,10 +80,9 @@ class CompiledTopology:
     not, the recurrence is unsound and every scheduler entry point falls
     back to :func:`~repro.graph.scheduler.list_schedule`.
 
-    ``key`` is the topology identity used for grouping and caching —
-    the perf layer's cheap key (:func:`repro.perf.topology_key`) when
-    compiled through :func:`repro.perf.compiled_topology`, else the
-    graph's topology fingerprint.
+    ``key`` is the topology identity used for caching — the cheap
+    :func:`topology_key` when compiled through :func:`compiled_topology`,
+    else the graph's topology fingerprint.
     """
 
     key: object
@@ -93,8 +104,7 @@ def compile_topology(
     chain.)
 
     ``key`` overrides the stored topology identity; callers that already
-    hold a cheap equivalent (the perf layer) pass it to skip the sha1
-    fingerprint walk.
+    hold a cheap equivalent pass it to skip the sha1 fingerprint walk.
     """
     n = len(graph)
     if key is None:
@@ -141,6 +151,61 @@ def compile_topology(
     )
 
 
+def topology_key(graph: ScheduleGraph) -> tuple:
+    """Cheap structural identity for the graph-level caches.
+
+    The lowering builders stamp every graph with an O(1)
+    ``topology_token`` covering everything node topology depends on
+    (policy, layer count, rank count, per-position phase shape with its
+    zero/nonzero activity pattern); hand-built graphs — and any graph
+    mutated after building, which resets the token — fall back to the
+    sha1 :meth:`~repro.graph.ir.ScheduleGraph.topology_fingerprint`.
+    The two forms are prefix-tagged so they can never collide.
+    """
+    token = graph.topology_token
+    if token is not None:
+        return ("token", token)
+    return ("sha1", graph.topology_fingerprint())
+
+
+def _cached(key: tuple, build: Callable[[], Any]) -> Any:
+    """``build()``, memoised in :data:`repro.perf.GRAPH_BATCH_CACHE`."""
+    entry = perf.GRAPH_BATCH_CACHE.get(key)
+    if entry is None:
+        entry = perf.GRAPH_BATCH_CACHE.put(key, build())
+    return entry
+
+
+def compiled_topology(
+    graph: ScheduleGraph, key: tuple | None = None
+) -> CompiledTopology:
+    """The :class:`CompiledTopology` for ``graph``, cached per
+    :func:`topology_key` (durations excluded), so every graph a sweep
+    produces for one (model, policy, straggler-shape) point reuses one
+    compiled recurrence.  Pass ``key`` when it is already known."""
+    if key is None:
+        key = topology_key(graph)
+    return _cached(("topo", key), lambda: compile_topology(graph, key))
+
+
+def _recurrence(
+    deps: Sequence[Sequence[int]], durations: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """Start and finish times of a chain topology: the max/add recurrence."""
+    n = len(deps)
+    start = [0.0] * n
+    finish = [0.0] * n
+    for i, node_deps in enumerate(deps):
+        begin = 0.0
+        for d in node_deps:
+            f = finish[d]
+            if f > begin:
+                begin = f
+        start[i] = begin
+        finish[i] = begin + durations[i]
+    return start, finish
+
+
 # parity: repro.graph.scheduler.list_schedule
 def fast_schedule(
     graph: ScheduleGraph, topology: CompiledTopology | None = None
@@ -149,8 +214,8 @@ def fast_schedule(
 
     Bit-identical to :func:`~repro.graph.scheduler.list_schedule` on
     chain topologies; delegates to it otherwise.  Pass a pre-compiled
-    ``topology`` (e.g. from :func:`repro.perf.compiled_topology`) to
-    amortise the verification across a sweep.
+    ``topology`` (e.g. from :func:`compiled_topology`) to amortise the
+    verification across a sweep.
     """
     if topology is None:
         topology = compile_topology(graph)
@@ -161,78 +226,59 @@ def fast_schedule(
             f"compiled topology has {topology.num_nodes} nodes, "
             f"graph has {len(graph)}"
         )
-    n = len(graph)
-    durations = graph.durations
-    start = [0.0] * n
-    finish = [0.0] * n
-    for i, deps in enumerate(topology.deps):
-        begin = 0.0
-        for d in deps:
-            f = finish[d]
-            if f > begin:
-                begin = f
-        start[i] = begin
-        finish[i] = begin + durations[i]
+    start, finish = _recurrence(topology.deps, graph.durations)
     return GraphSchedule(
         graph=graph, start_us=tuple(start), finish_us=tuple(finish)
     )
 
 
-def schedule_batch(graphs: list[ScheduleGraph]) -> list[GraphSchedule]:
-    """Schedule many graphs at once, vectorising over shared topologies.
+#: GRAPH_BATCH_CACHE sentinel (BoundedCache cannot store None).
+_NOT_BLOCKED = "not-rank-blocked"
 
-    Graphs are grouped by topology key; each chain-compatible
-    group runs the recurrence over a ``(batch, nodes)`` duration matrix
-    (one numpy max/add per node for the whole batch), and incompatible
-    or singleton groups schedule per graph.  The result list matches the
-    input order, and every schedule equals what
-    :func:`~repro.graph.scheduler.list_schedule` would return, float bit
-    for float bit.
+
+# parity: repro.graph.scheduler.list_schedule
+def schedule(
+    graph: ScheduleGraph, durations: np.ndarray | None = None
+) -> GraphSchedule:
+    """Schedule ``graph``, folding exchangeable ranks first.
+
+    ``durations`` is the graph's float64 duration vector, when the
+    caller already holds it.  Graphs that are not rank-blocked, and
+    rank-blocked graphs whose ranks are all distinct, schedule whole
+    through :func:`fast_schedule`.  Otherwise the reduced graph's
+    compiled topology is cached per (topology, class count) — or per
+    (topology, rank→class assignment) when the block structure does not
+    make the reduced dependencies assignment-independent — and the
+    reduced times come from the recurrence on chain topologies and from
+    the list scheduler otherwise.  Every branch returns floats
+    bit-identical to :func:`~repro.graph.scheduler.list_schedule` on
+    the full graph.
     """
-    from repro import perf
-
-    groups: dict[object, list[int]] = {}
-    topologies: dict[object, CompiledTopology] = {}
-    for position, graph in enumerate(graphs):
-        topology = perf.compiled_topology(graph)
-        groups.setdefault(topology.key, []).append(position)
-        topologies[topology.key] = topology
-
-    schedules: list[GraphSchedule | None] = [None] * len(graphs)
-    for key, positions in groups.items():
-        topology = topologies[key]
-        if not topology.chain_ok or len(positions) == 1:
-            for position in positions:
-                schedules[position] = fast_schedule(
-                    graphs[position], topology
-                )
-            continue
-        batch = len(positions)
-        n = topology.num_nodes
-        durations = np.empty((batch, n), dtype=np.float64)
-        for row, position in enumerate(positions):
-            graph = graphs[position]
-            if len(graph) != n:
-                raise ValueError(
-                    "graphs sharing a topology key disagree on size"
-                )
-            durations[row] = graph.durations
-        start = np.zeros((batch, n), dtype=np.float64)
-        finish = np.zeros((batch, n), dtype=np.float64)
-        for i, deps in enumerate(topology.deps):
-            if deps:
-                if len(deps) == 1:
-                    begin = finish[:, deps[0]]
-                else:
-                    begin = finish[:, deps].max(axis=1)
-                start[:, i] = begin
-                finish[:, i] = begin + durations[:, i]
-            else:
-                finish[:, i] = durations[:, i]
-        for row, position in enumerate(positions):
-            schedules[position] = GraphSchedule(
-                graph=graphs[position],
-                start_us=tuple(start[row].tolist()),
-                finish_us=tuple(finish[row].tolist()),
-            )
-    return [schedule for schedule in schedules if schedule is not None]
+    if durations is None:
+        durations = np.asarray(graph.durations, dtype=np.float64)
+    key = topology_key(graph)
+    structure = _cached(
+        ("sym", key), lambda: block_structure(graph) or _NOT_BLOCKED
+    )
+    if structure is _NOT_BLOCKED:
+        return fast_schedule(graph, compiled_topology(graph, key))
+    reps, rep_index = rank_classes(durations, structure.world)
+    k = len(reps)
+    if k == structure.world:
+        return fast_schedule(graph, compiled_topology(graph, key))
+    reduced_key = ("reduced", key, k if structure.reusable_deps else rep_index)
+    topology = _cached(
+        reduced_key,
+        lambda: compile_topology(
+            reduced_graph(graph, structure, reps, rep_index), reduced_key
+        ),
+    )
+    if topology.chain_ok:
+        matrix = durations.reshape(structure.blocks, structure.world)
+        start, finish = _recurrence(
+            topology.deps, matrix[:, reps].reshape(-1).tolist()
+        )
+    else:
+        reduced = list_schedule(reduced_graph(graph, structure, reps, rep_index))
+        start, finish = reduced.start_us, reduced.finish_us
+    return expand_symmetry(graph, rep_index, start, finish)

@@ -23,15 +23,21 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.graph.ir import GraphNode, ScheduleGraph, Stream
 
 __all__ = [
+    "BlockStructure",
     "GraphSchedule",
     "SymmetryReduction",
+    "block_structure",
     "expand_symmetry",
     "list_schedule",
+    "rank_classes",
     "rank_makespans",
     "reduce_symmetry",
+    "reduced_graph",
 ]
 
 
@@ -287,9 +293,9 @@ class SymmetryReduction:
 class BlockStructure:
     """The duration-independent half of a symmetry reduction.
 
-    Everything here is a function of the graph's *topology* alone, so the
-    perf layer caches it per topology key and re-runs only the (cheap,
-    vectorisable) duration classification per graph.
+    Everything here is a function of the graph's *topology* alone, so
+    :mod:`repro.graph.batch` caches it per topology key and re-runs only
+    the (cheap) duration classification per graph.
     """
 
     world: int
@@ -302,8 +308,8 @@ class BlockStructure:
     #: by the class count alone — first-occurrence class labels ascend in
     #: rank order, so each fully-covered dep block maps to all of its
     #: class representatives regardless of which ranks form the classes —
-    #: and the perf layer may reuse one compiled reduced topology across
-    #: graphs with different rank→class assignments.
+    #: and :mod:`repro.graph.batch` may reuse one compiled reduced
+    #: topology across graphs with different rank→class assignments.
     reusable_deps: bool
 
 
@@ -381,48 +387,46 @@ def block_structure(graph: ScheduleGraph) -> BlockStructure | None:
     )
 
 
-# parity: repro.graph.scheduler.list_schedule
-def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
-    """Fold exchangeable ranks of a rank-blocked multi-rank graph.
+def rank_classes(
+    durations: np.ndarray, world: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Group the ranks of a rank-blocked graph by duration bit pattern.
 
-    Returns ``None`` whenever the graph is not rank-blocked, its
-    dependency sets are neither barriers nor rank-local, or every rank
-    is already distinct — callers then schedule the full graph.  When a
-    reduction is returned, scheduling ``reduced`` and replicating via
-    :func:`expand_symmetry` equals scheduling ``graph`` directly, float
-    bit for float bit.
+    ``durations`` is the graph's float64 duration vector (block-major,
+    ``world`` ranks per block).  Two ranks share a class exactly when
+    their durations agree bit for bit in every block.  Returns the
+    representative (lowest) rank per class, ascending, and each rank's
+    class index; class labels are assigned in order of first occurrence.
     """
-    structure = block_structure(graph)
-    if structure is None:
-        return None
-    world = structure.world
-    blocks = structure.blocks
-    nodes = graph.nodes
-    preds = graph.preds
-    local_pattern = structure.local_pattern
-
-    # Equivalence classes: ranks whose duration bits agree in every block.
-    classes: dict[tuple[str, ...], int] = {}
+    signatures = np.ascontiguousarray(durations.reshape(-1, world).T).tobytes()
+    stride = len(signatures) // world  # one rank's duration bits
+    classes: dict[bytes, int] = {}
     reps: list[int] = []
     rep_index = [0] * world
-    for r in range(world):
-        signature = tuple(
-            nodes[b * world + r].duration_us.hex() for b in range(blocks)
-        )
+    for rank in range(world):
+        signature = signatures[rank * stride : (rank + 1) * stride]
         j = classes.get(signature)
         if j is None:
-            j = len(reps)
-            classes[signature] = j
-            reps.append(r)
-        rep_index[r] = j
-    k = len(reps)
-    if k >= world:
-        return None  # every rank distinct: nothing to fold
+            j = classes[signature] = len(reps)
+            reps.append(rank)
+        rep_index[rank] = j
+    return tuple(reps), tuple(rep_index)
 
+
+def reduced_graph(
+    graph: ScheduleGraph,
+    structure: BlockStructure,
+    reps: tuple[int, ...],
+    rep_index: tuple[int, ...],
+) -> ScheduleGraph:
+    """``graph`` with each rank class folded to its representative."""
+    world = structure.world
+    k = len(reps)
+    nodes = graph.nodes
+    preds = graph.preds
     reduced = ScheduleGraph()
-    for b in range(blocks):
+    for b, pattern in enumerate(structure.local_pattern):
         base = b * world
-        pattern = local_pattern[b]
         if pattern is None:
             # Barrier: map every dep to its class representative.  Class
             # members finish at bit-equal times, so the max over the
@@ -448,38 +452,60 @@ def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
                 layer=node.layer,
                 tag=node.tag,
             )
+    return reduced
+
+
+# parity: repro.graph.scheduler.list_schedule
+def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
+    """Fold exchangeable ranks of a rank-blocked multi-rank graph.
+
+    Returns ``None`` whenever the graph is not rank-blocked, its
+    dependency sets are neither barriers nor rank-local, or every rank
+    is already distinct — callers then schedule the full graph.  When a
+    reduction is returned, scheduling ``reduced`` and replicating via
+    :func:`expand_symmetry` equals scheduling ``graph`` directly, float
+    bit for float bit.
+    """
+    structure = block_structure(graph)
+    if structure is None:
+        return None
+    world = structure.world
+    reps, rep_index = rank_classes(
+        np.asarray(graph.durations, dtype=np.float64), world
+    )
+    if len(reps) >= world:
+        return None  # every rank distinct: nothing to fold
     return SymmetryReduction(
-        reduced=reduced,
-        reps=tuple(reps),
-        rep_index=tuple(rep_index),
+        reduced=reduced_graph(graph, structure, reps, rep_index),
+        reps=reps,
+        rep_index=rep_index,
         world=world,
-        blocks=blocks,
+        blocks=structure.blocks,
     )
 
 
 # parity: repro.graph.scheduler.list_schedule
 def expand_symmetry(
     graph: ScheduleGraph,
-    symmetry: SymmetryReduction,
-    reduced_schedule: GraphSchedule,
+    rep_index: tuple[int, ...],
+    start_us: tuple[float, ...] | list[float],
+    finish_us: tuple[float, ...] | list[float],
 ) -> GraphSchedule:
     """Replicate representative start/finish times to all class members.
 
-    The returned :class:`GraphSchedule` wraps the *full* graph, so
-    ``rank_makespans`` / ``imbalance_us`` / ``critical_path`` report over
-    every rank exactly as if the full graph had been scheduled.
+    ``start_us``/``finish_us`` are the reduced graph's times and
+    ``rep_index`` maps each rank to its class.  Every class member gets
+    its representative's float objects, not copies.  The returned
+    :class:`GraphSchedule` wraps the *full* graph, so ``rank_makespans``
+    / ``imbalance_us`` / ``critical_path`` report over every rank exactly
+    as if the full graph had been scheduled.
     """
-    world = symmetry.world
-    k = len(symmetry.reps)
-    rep_index = symmetry.rep_index
-    rstart = reduced_schedule.start_us
-    rfinish = reduced_schedule.finish_us
-    start: list[float] = []
-    finish: list[float] = []
-    for i in range(len(graph)):
-        rid = (i // world) * k + rep_index[i % world]
-        start.append(rstart[rid])
-        finish.append(rfinish[rid])
+    k = max(rep_index) + 1
+    index = [
+        base + j for base in range(0, len(start_us), k) for j in rep_index
+    ]
     return GraphSchedule(
-        graph=graph, start_us=tuple(start), finish_us=tuple(finish)
+        graph=graph,
+        start_us=tuple(map(start_us.__getitem__, index)),
+        finish_us=tuple(map(finish_us.__getitem__, index)),
     )

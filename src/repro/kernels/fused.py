@@ -257,7 +257,7 @@ def simulate_layer0_fused(
     # row-block all ready at the block's ready time.  The vectorised wave
     # scheduler is the default; the heapq loop is kept as the reference
     # (and carries the tracer, which needs per-block completion times).
-    if tracer is None and PERF_CONFIG.analytic_layer0:
+    if tracer is None and not PERF_CONFIG.reference:
         makespan = layer0_makespan_analytic(
             ready[order], col_tiles, np_blocks, per_tile
         )

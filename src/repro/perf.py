@@ -1,47 +1,39 @@
-"""Cross-stack performance layer: fast paths, fingerprints, bounded caches.
+"""Cross-stack performance layer: bounded caches and cached entry points.
 
-Everything in this module is an *accelerator*, never a semantics change:
-each fast path is verified bit-identical against the slow path it
-replaces (the test suite enforces it), and :func:`disabled` restores the
-original serial behaviour wholesale — which is also how
-``benchmarks/bench_sim_speed.py`` measures the speedup honestly.
+Everything in this module is an *accelerator*, never a semantics change.
+One switch, :attr:`PerfConfig.reference`, selects the reference paths
+each tier keeps as its oracle; :func:`disabled` sets it.  Under the
+switch:
 
-Six switchable fast paths (see :class:`PerfConfig`):
+* :mod:`repro.kernels.fused` runs the per-tile heapq loop instead of the
+  vectorised wave scheduler;
+* :class:`~repro.systems.comet.Comet` simulates every rank instead of
+  each *distinct* per-rank schedule once;
+* :mod:`repro.serve.scheduler` runs the discrete-event simulation
+  instead of its sequential transcription;
+* graphs schedule through :func:`repro.graph.scheduler.list_schedule`
+  instead of :func:`repro.graph.batch.schedule`;
+* every cache below is bypassed.
 
-* ``analytic_layer0`` — the vectorised wave scheduler in
-  :mod:`repro.kernels.fused` replacing the per-tile heapq loop;
-* ``rank_dedup`` — :class:`~repro.systems.comet.Comet` simulates each
-  *distinct* per-rank schedule once instead of looping all ranks;
-* ``timing_cache`` — the global :data:`TIMING_CACHE` memoising
-  ``LayerTiming`` by ``(system fingerprint, workload fingerprint)``
-  across grids, training steps, and serving runs;
-* ``fast_serve_loop`` — the sequential transcription of the serving
-  DES in :mod:`repro.serve.scheduler`;
-* ``graph_symmetry`` — rank-blocked multi-rank graphs fold
-  exchangeable ranks to one representative per equivalence class
-  before scheduling (:func:`repro.graph.scheduler.reduce_symmetry`);
-* ``graph_batch`` — chain-compatible topologies schedule through the
-  compiled max/add recurrence of :mod:`repro.graph.batch` instead of
-  the heapq list scheduler, one compiled topology per
-  :func:`topology_key` cached in :data:`GRAPH_BATCH_CACHE` (with both
-  flags on, the symmetry fold itself is vectorised: cached block
-  structure + ``np.unique`` rank classification + cached reduced
-  recurrence).
+Each production path is verified bit-identical against its reference
+(the test suite and committed golden digests enforce it), which is also
+how ``benchmarks/bench_sim_speed.py`` measures the speedup honestly.
 
-Two cache layers live here:
+The caches are bounded LRU caches with hit/miss/eviction counters and
+an explicit ``clear()``; :func:`cache_stats` aggregates them for the
+CLI's ``--report`` flag:
 
-* :data:`WORKLOAD_CACHE` — one :class:`~repro.runtime.workload.MoELayerWorkload`
-  per (config, cluster, strategy, tokens, imbalance, seed), shared by
-  scenario grids and every serving token bucket (this absorbs the old
-  module-level ``_WORKLOAD_CACHE`` of :mod:`repro.serve.engine_adapter`,
-  which grew without bound);
 * :data:`TIMING_CACHE` — ``LayerTiming`` results keyed by fingerprints,
   so the same (system, workload) pair is simulated once no matter which
-  entry point (grid / training step / serving bucket) asks.
-
-Both are bounded LRU caches with hit/miss/eviction counters and an
-explicit ``clear()``; :func:`cache_stats` aggregates them for the CLI's
-``--report`` flag.
+  entry point (grid / training step / serving bucket) asks;
+* :data:`WORKLOAD_CACHE` — one :class:`~repro.runtime.workload.MoELayerWorkload`
+  per (config, cluster, strategy, tokens, imbalance, seed), shared by
+  scenario grids and every serving token bucket;
+* :data:`GRAPH_CACHE` — one schedule per (graph topology, duration bits);
+* :data:`GRAPH_BATCH_CACHE` — the per-topology compiled structures of
+  :mod:`repro.graph.batch`;
+* :data:`STEP_COST_CACHE` — one serving step-cost model per system state
+  and scenario shape.
 """
 
 from __future__ import annotations
@@ -72,63 +64,36 @@ __all__ = [
     "cached_graph_schedule",
     "cached_time_layer",
     "clear_caches",
-    "compiled_topology",
-    "configure",
     "disabled",
     "process_worker_init",
     "record_worker_stats",
     "shared_step_cost",
     "shared_workload",
     "time_layer_calls",
-    "topology_key",
     "worker_process_count",
 ]
 
 
 @dataclass
 class PerfConfig:
-    """Which fast paths are active.  All default on; tests and the
-    benchmark baseline flip them off to recover the original serial
-    behaviour exactly."""
+    """``reference`` selects every tier's reference path and bypasses the
+    caches; it defaults off and :func:`disabled` turns it on."""
 
-    analytic_layer0: bool = True
-    rank_dedup: bool = True
-    timing_cache: bool = True
-    fast_serve_loop: bool = True
-    graph_symmetry: bool = True
-    graph_batch: bool = True
+    reference: bool = False
 
 
 CONFIG = PerfConfig()
 
 
 @contextmanager
-def configure(**flags: bool) -> Iterator[PerfConfig]:
-    """Temporarily override :data:`CONFIG` flags (restored on exit)."""
-    previous = {name: getattr(CONFIG, name) for name in vars(CONFIG)}
-    for name, value in flags.items():
-        if name not in previous:
-            raise ValueError(f"unknown perf flag {name!r}")
-        setattr(CONFIG, name, value)
+def disabled() -> Iterator[PerfConfig]:
+    """Run the reference paths with no caches (restored on exit)."""
+    previous = CONFIG.reference
+    CONFIG.reference = True
     try:
         yield CONFIG
     finally:
-        for name, value in previous.items():
-            setattr(CONFIG, name, value)
-
-
-@contextmanager
-def disabled() -> Iterator[PerfConfig]:
-    """All fast paths off: the pre-optimisation serial behaviour."""
-    with configure(
-        analytic_layer0=False,
-        rank_dedup=False,
-        timing_cache=False,
-        fast_serve_loop=False,
-        graph_symmetry=False,
-        graph_batch=False,
-    ) as config:
-        yield config
+        CONFIG.reference = previous
 
 
 class BoundedCache:
@@ -244,7 +209,7 @@ class TimingCache(BoundedCache):
     def time_layer(
         self, system: "MoESystem", workload: "MoELayerWorkload"
     ) -> "LayerTiming":
-        if not CONFIG.timing_cache:
+        if CONFIG.reference:
             with self._lock:
                 self.computed += 1
             return system.time_layer(workload)
@@ -291,219 +256,29 @@ GRAPH_BATCH_CACHE = BoundedCache(maxsize=256, name="graph_batch")
 STEP_COST_CACHE = BoundedCache(maxsize=64, name="step-cost")
 
 
-def topology_key(graph: Any) -> tuple:
-    """Cheap structural identity for the graph-level caches.
-
-    The lowering builders stamp every graph with an O(1)
-    ``topology_token`` covering everything node topology depends on
-    (policy, layer count, rank count, per-position phase shape with its
-    zero/nonzero activity pattern); hand-built graphs — and any graph
-    mutated after building, which resets the token — fall back to the
-    sha1 :meth:`~repro.graph.ir.ScheduleGraph.topology_fingerprint`.
-    The two forms are prefix-tagged so they can never collide.
-    """
-    token = getattr(graph, "topology_token", None)
-    if token is not None:
-        return ("token", token)
-    return ("sha1", graph.topology_fingerprint())
-
-
-def compiled_topology(graph: Any) -> Any:
-    """The :class:`repro.graph.batch.CompiledTopology` for ``graph``,
-    through the bounded :data:`GRAPH_BATCH_CACHE`.
-
-    Keyed by :func:`topology_key` (durations excluded), so every graph a
-    sweep produces for one (model, policy, straggler-shape) point reuses
-    one compiled recurrence.  With the ``graph_batch`` flag off the
-    topology is compiled fresh and unrecorded.
-    """
-    from repro.graph.batch import compile_topology
-
-    if not CONFIG.graph_batch:
-        return compile_topology(graph)
-    key = topology_key(graph)
-    topology = GRAPH_BATCH_CACHE.get(("topo", key))
-    if topology is None:
-        topology = GRAPH_BATCH_CACHE.put(
-            ("topo", key), compile_topology(graph, key)
-        )
-    return topology
-
-
-def _schedule_plain(graph: Any) -> Any:
-    """Schedule one graph via the fastest enabled per-graph path."""
-    from repro.graph.scheduler import list_schedule
-
-    if CONFIG.graph_batch:
-        from repro.graph.batch import fast_schedule
-
-        return fast_schedule(graph, compiled_topology(graph))
-    return list_schedule(graph)
-
-
-# GRAPH_BATCH_CACHE sentinels (BoundedCache cannot store None).
-_NO_STRUCTURE = "no-structure"
-_NOT_CHAIN = "not-chain"
-
-
-def _cached_block_structure(graph: Any, key: tuple) -> Any:
-    """:func:`repro.graph.scheduler.block_structure`, cached per topology."""
-    from repro.graph.scheduler import block_structure
-
-    entry = GRAPH_BATCH_CACHE.get(("sym", key))
-    if entry is None:
-        entry = GRAPH_BATCH_CACHE.put(
-            ("sym", key), block_structure(graph) or _NO_STRUCTURE
-        )
-    return None if entry is _NO_STRUCTURE else entry
-
-
-def _reduced_recurrence(graph: Any, key: tuple, k: int) -> Any:
-    """Dependency structure of the compiled *reduced* topology for a
-    class count ``k``, cached per (topology, k); ``None`` when the
-    reduced graph is not chain-compatible.
-
-    One compiled structure serves every rank→class assignment with the
-    same ``k``: the cache is only consulted for structures whose
-    ``reusable_deps`` flag proves the reduced dependency sets are
-    assignment-independent (first-occurrence class labels ascend in rank
-    order, so fully-covered barriers always map to all ``k``
-    representatives of each dep block, and rank-local patterns map
-    within the own class by construction).
-    """
-    from repro.graph.batch import compile_topology
-    from repro.graph.scheduler import reduce_symmetry
-
-    entry = GRAPH_BATCH_CACHE.get(("symred", key, k))
-    if entry is None:
-        symmetry = reduce_symmetry(graph)
-        if symmetry is None or len(symmetry.reps) != k:
-            payload = _NOT_CHAIN  # defensive: classification disagreed
-        else:
-            topology = compile_topology(
-                symmetry.reduced, key=("reduced", key, k)
-            )
-            payload = topology.deps if topology.chain_ok else _NOT_CHAIN
-        entry = GRAPH_BATCH_CACHE.put(("symred", key, k), payload)
-    return None if entry is _NOT_CHAIN else entry
-
-
-# parity: repro.graph.scheduler.list_schedule
-def _fast_symmetric_schedule(
-    graph: Any, key: tuple, structure: Any, durations: Any = None
-) -> Any:
-    """Vectorised symmetry fold + compiled recurrence for one graph.
-
-    All per-node work runs in C: the rank equivalence classes come from
-    exact equality of each rank's duration *bit pattern* (the same
-    partition the hex-signature loop in ``reduce_symmetry`` computes —
-    one ``bytes`` signature per rank, grouped by dict), the recurrence
-    runs over the k-class reduced dependency structure, and the
-    expansion back to all ranks is one fancy-indexing gather.  Returns
-    ``None`` when no reduction applies — callers fall back to the
-    generic path, so every outcome stays bit-identical to
-    :func:`~repro.graph.scheduler.list_schedule`.
-    """
-    from repro.graph.scheduler import GraphSchedule
-
-    if not structure.reusable_deps:
-        return None
-    world = structure.world
-    blocks = structure.blocks
-    if durations is None:
-        durations = np.asarray(graph.durations, dtype=np.float64)
-    if durations.shape[0] != blocks * world:
-        return None  # stale durations list (defensive; add() maintains it)
-    matrix = durations.reshape(blocks, world)
-    signatures = np.ascontiguousarray(matrix.T).tobytes()
-    stride = blocks * 8  # one rank's duration bits
-    reps: list[int] = []
-    relabel: dict[bytes, int] = {}
-    rep_index = [0] * world
-    for rank in range(world):
-        signature = signatures[rank * stride : (rank + 1) * stride]
-        j = relabel.get(signature)
-        if j is None:
-            j = len(reps)
-            relabel[signature] = j
-            reps.append(rank)
-        rep_index[rank] = j
-    k = len(reps)
-    if k >= world:
-        return None  # every rank distinct: nothing to fold
-    deps = _reduced_recurrence(graph, key, k)
-    if deps is None:
-        return None
-    reduced_durations = matrix[:, reps].reshape(-1).tolist()
-    reduced_n = blocks * k
-    start = [0.0] * reduced_n
-    finish = [0.0] * reduced_n
-    for i, node_deps in enumerate(deps):
-        begin = 0.0
-        for d in node_deps:
-            f = finish[d]
-            if f > begin:
-                begin = f
-        start[i] = begin
-        finish[i] = begin + reduced_durations[i]
-    node_ids = np.arange(blocks * world)
-    expand = (node_ids // world) * k + np.asarray(rep_index)[node_ids % world]
-    return GraphSchedule(
-        graph=graph,
-        start_us=tuple(np.asarray(start)[expand].tolist()),
-        finish_us=tuple(np.asarray(finish)[expand].tolist()),
-    )
-
-
-def _schedule_graph(graph: Any, durations: Any = None) -> Any:
-    """Uncached scheduling dispatch: symmetry fold, then plain path.
-
-    Every branch returns floats bit-identical to
-    :func:`repro.graph.scheduler.list_schedule` on the full graph (the
-    property suite enforces it); the flags only pick how much work that
-    costs.
-    """
-    if CONFIG.graph_symmetry:
-        if CONFIG.graph_batch:
-            key = topology_key(graph)
-            structure = _cached_block_structure(graph, key)
-            if structure is None:
-                return _schedule_plain(graph)  # known: not rank-blocked
-            schedule = _fast_symmetric_schedule(graph, key, structure, durations)
-            if schedule is not None:
-                return schedule
-        from repro.graph.scheduler import expand_symmetry, reduce_symmetry
-
-        symmetry = reduce_symmetry(graph)
-        if symmetry is not None:
-            return expand_symmetry(
-                graph, symmetry, _schedule_plain(symmetry.reduced)
-            )
-    return _schedule_plain(graph)
-
-
 def cached_graph_schedule(graph: Any) -> Any:
     """Schedule a :class:`repro.graph.ir.ScheduleGraph` through the
     bounded :data:`GRAPH_CACHE`.
 
-    Keyed by (:func:`topology_key`, duration bits): the structural key
-    covers node order, kinds, and streams (every node's per-rank stream
-    tag, so a straggler spec's per-rank graph and the single-rank graph
-    it degenerates to key separately), and the raw IEEE-754 byte dump of
-    the duration vector covers the timings exactly.  A cache hit is
-    byte-identical to rescheduling — grids with ``workers=N`` and
-    warm-cache reruns produce the same floats.  On a miss, scheduling
-    runs through the symmetry-reduction and compiled-recurrence fast
-    paths (``graph_symmetry`` / ``graph_batch`` flags);
-    :func:`disabled` restores the plain list scheduler wholesale.
+    Keyed by (:func:`repro.graph.batch.topology_key`, duration bits):
+    the structural key covers node order, kinds, and streams (every
+    node's per-rank stream tag, so a straggler spec's per-rank graph and
+    the single-rank graph it degenerates to key separately), and the raw
+    IEEE-754 byte dump of the duration vector covers the timings
+    exactly.  A cache hit is byte-identical to rescheduling — grids with
+    ``workers=N`` and warm-cache reruns produce the same floats.  A miss
+    runs :func:`repro.graph.batch.schedule`; under :func:`disabled` the
+    list scheduler runs instead.
     """
-    if not CONFIG.timing_cache:
-        return _schedule_graph(graph)
+    from repro.graph import batch, scheduler
+
+    if CONFIG.reference:
+        return scheduler.list_schedule(graph)
     durations = np.asarray(graph.durations, dtype=np.float64)
-    key = (topology_key(graph), durations.tobytes())
+    key = (batch.topology_key(graph), durations.tobytes())
     schedule = GRAPH_CACHE.get(key)
     if schedule is None:
-        schedule = GRAPH_CACHE.put(key, _schedule_graph(graph, durations))
+        schedule = GRAPH_CACHE.put(key, batch.schedule(graph, durations))
     return schedule
 
 
@@ -575,9 +350,8 @@ def shared_step_cost(
     fingerprint *and* timing-state token, so a mutated system never hits
     a stale entry.  Construction failures
     (:class:`~repro.systems.base.UnsupportedWorkload` from the eager
-    support check) propagate and are never cached.  Honours the
-    ``timing_cache`` perf flag: when disabled, every caller gets a fresh
-    model.
+    support check) propagate and are never cached.  Under
+    :func:`disabled` every caller gets a fresh model.
     """
     from repro.serve.engine_adapter import StepCostModel
 
@@ -592,7 +366,7 @@ def shared_step_cost(
             stragglers=stragglers,
         )
 
-    if not CONFIG.timing_cache:
+    if CONFIG.reference:
         return build()
     key = (
         system.fingerprint(),

@@ -388,8 +388,8 @@ class ContinuousBatchingScheduler:
         terminates once the backlog drains.  Records are sorted by
         request id, making the output order independent of completion
         interleaving.  The fast sequential loop and the DES produce
-        byte-identical results; :data:`repro.perf.CONFIG` selects which
-        one runs.
+        byte-identical results; the DES is the reference path and runs
+        under :func:`repro.perf.disabled`.
         """
         self.records.clear()
         self.timeline.clear()
@@ -397,7 +397,7 @@ class ContinuousBatchingScheduler:
         self._waiting = WaitingQueue(self._policy, self.cost_model, self.slo_ttft_ms)
         self._running.clear()
         self._pending_arrivals = len(self.trace)
-        if PERF_CONFIG.fast_serve_loop:
+        if not PERF_CONFIG.reference:
             self._run_fast()
         else:
             self._run_des()

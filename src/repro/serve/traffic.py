@@ -44,8 +44,7 @@ class Request:
     output_tokens: int
 
     def __post_init__(self) -> None:
-        if self.arrival_ms < 0:
-            raise ValueError(f"arrival_ms must be >= 0, got {self.arrival_ms}")
+        check_nonnegative("arrival_ms", self.arrival_ms)
         if self.prompt_tokens < 1 or self.output_tokens < 1:
             raise ValueError(
                 f"request {self.rid} needs >= 1 prompt and output token, got "
@@ -114,6 +113,8 @@ class TraceSpec:
             )
         if not 0 <= self.amplitude <= 1:
             raise ValueError(f"amplitude must lie in [0, 1], got {self.amplitude}")
+        for i, arrival in enumerate(self.arrivals_ms):
+            check_nonnegative(f"arrivals_ms[{i}]", arrival)
         if self.replay_lengths and len(self.replay_lengths) != len(self.arrivals_ms):
             raise ValueError(
                 "replay_lengths must be empty or match arrivals_ms in length"

@@ -228,7 +228,7 @@ class Comet(MoESystem):
         # matrices coincide run identical fused kernels — simulate each
         # distinct one once.  Fabric mode gives every rank its own arrival
         # curve, so dedup only applies to the independent-ingress model.
-        dedup = PERF_CONFIG.rank_dedup and all(fn is None for fn in arrival_fns)
+        dedup = not PERF_CONFIG.reference and all(fn is None for fn in arrival_fns)
         memo: dict[bytes, FusedKernelResult] = {}
         results = []
         for rank in range(workload.world_size):
@@ -318,7 +318,7 @@ class Comet(MoESystem):
         policy = POLICY_COLUMN_MAJOR if self.reschedule else POLICY_EXPERT_MAJOR
         # Rank dedup: the layer1 kernel is determined by the GroupGEMM row
         # structure plus the combine traffic split, both hashable.
-        dedup = PERF_CONFIG.rank_dedup
+        dedup = not PERF_CONFIG.reference
         memo: dict[tuple, FusedKernelResult] = {}
         results = []
         any_remote = False

@@ -142,7 +142,7 @@ def test_golden_digest(name):
 )
 def test_serve_des_matches_golden(name):
     """The retained DES reference reproduces the same committed digest."""
-    with perf.configure(fast_serve_loop=False):
+    with perf.disabled():
         assert CASES[name]() == GOLDEN[name]
 
 

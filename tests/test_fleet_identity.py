@@ -38,10 +38,10 @@ class TestSingleReplicaBitIdentity:
 
     def test_round_robin_fleet_uses_fast_serve_loop(self):
         # The decomposed path must go through ContinuousBatchingScheduler,
-        # so disabling the fast loop changes the code path but not one
-        # byte of output.
+        # so switching to the reference DES changes the code path but not
+        # one byte of output.
         fast = fleet_run()
-        with perf.configure(fast_serve_loop=False):
+        with perf.disabled():
             slow = fleet_run()
         assert fast.reports == slow.reports
 

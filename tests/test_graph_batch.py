@@ -6,13 +6,13 @@ list scheduler:
 
 * :func:`repro.graph.batch.fast_schedule` — the compiled max/add
   recurrence on chain topologies, with an exact-verification fallback;
-* :func:`repro.graph.batch.schedule_batch` — the numpy batch form over
-  same-topology duration vectors;
+* :func:`repro.graph.batch.schedule` — the production dispatch: the
+  symmetry fold, then the recurrence, with cached compiled structures;
 * :func:`repro.graph.scheduler.reduce_symmetry` /
   :func:`~repro.graph.scheduler.expand_symmetry` — the rank-equivalence
   fold for rank-blocked multi-rank graphs;
-* :func:`repro.perf.cached_graph_schedule` — the integration point that
-  composes all of the above behind the perf flags.
+* :func:`repro.perf.cached_graph_schedule` — the cached entry point and
+  its reference bypass.
 """
 
 import pytest
@@ -34,8 +34,8 @@ from repro.graph import (
     fast_schedule,
     list_schedule,
     reduce_symmetry,
-    schedule_batch,
 )
+from repro.graph.batch import schedule
 
 PHASES = (
     LayerPhase(NodeKind.GATE, 12.0),
@@ -129,36 +129,56 @@ class TestFastSchedule:
         _assert_identical(fast_schedule(graph), list_schedule(graph))
 
 
-class TestScheduleBatch:
-    def test_batches_same_topology(self):
-        mults = (1.0, 1.3, 1.7, 2.2, 3.1)
-        graphs = [
-            _forward(
+class TestSchedule:
+    def setup_method(self):
+        perf.clear_caches()
+
+    def teardown_method(self):
+        perf.clear_caches()
+
+    def test_same_topology_reuses_compiled_structures(self):
+        # One topology, five duration vectors: the first graph compiles
+        # the structures, the rest run on the cached ones.
+        for m in (1.0, 1.3, 1.7, 2.2, 3.1):
+            graph = _forward(
                 stragglers=StragglerSpec.slow_rank(4, rank=2, compute_mult=m)
             )
-            for m in mults
-        ]
-        schedules = schedule_batch(graphs)
-        assert len(schedules) == len(graphs)
-        for graph, schedule in zip(graphs, schedules):
-            assert schedule.graph is graph
-            _assert_identical(schedule, list_schedule(graph))
+            fast = schedule(graph)
+            assert fast.graph is graph
+            _assert_identical(fast, list_schedule(graph))
 
-    def test_mixed_topologies_preserve_order(self):
-        graphs = [
+    def test_mixed_topologies(self):
+        for graph in (
             _forward("per_layer"),
-            _forward("shortcut"),  # non-chain: per-graph fallback
+            _forward("shortcut"),  # non-chain: list-scheduler fallback
             _forward("per_layer", StragglerSpec.slow_rank(2, 0, 1.5)),
             _forward("cross_layer"),
-            _forward("per_layer", StragglerSpec.slow_rank(2, 0, 2.5)),
-        ]
-        schedules = schedule_batch(graphs)
-        assert [s.graph for s in schedules] == graphs
-        for graph, schedule in zip(graphs, schedules):
-            _assert_identical(schedule, list_schedule(graph))
+            _forward("shortcut", StragglerSpec.slow_rank(4, 1, 2.5)),
+        ):
+            _assert_identical(schedule(graph), list_schedule(graph))
 
-    def test_empty_batch(self):
-        assert schedule_batch([]) == []
+    def test_empty_graph(self):
+        assert schedule(ScheduleGraph()).finish_us == ()
+
+    def test_assignment_dependent_reduction(self):
+        # A barrier on rank 1 alone makes the reduced deps depend on
+        # which ranks share a class, so the reduced topology is cached
+        # per assignment rather than per class count.
+        for slow in (1, 2):
+            graph = ScheduleGraph()
+            heads = [
+                graph.add(
+                    NodeKind.EXPERT,
+                    7.0 if rank == slow else 5.0,
+                    Stream(COMPUTE, rank),
+                )
+                for rank in range(3)
+            ]
+            for rank in range(3):
+                graph.add(
+                    NodeKind.COMBINE, 3.0, Stream(COMM, rank), deps=(heads[1],)
+                )
+            _assert_identical(schedule(graph), list_schedule(graph))
 
 
 class TestSymmetryReduction:
@@ -184,8 +204,9 @@ class TestSymmetryReduction:
         assert symmetry is not None
         assert symmetry.reps == (0, 1)
         assert symmetry.rep_index == (0, 1, 0, 1, 0, 1, 0, 1)
+        reduced = list_schedule(symmetry.reduced)
         expanded = expand_symmetry(
-            graph, symmetry, list_schedule(symmetry.reduced)
+            graph, symmetry.rep_index, reduced.start_us, reduced.finish_us
         )
         _assert_identical(expanded, list_schedule(graph))
 
@@ -196,8 +217,9 @@ class TestSymmetryReduction:
         symmetry = reduce_symmetry(graph)
         assert symmetry is not None
         assert symmetry.reps == (0, 4)
+        reduced = list_schedule(symmetry.reduced)
         expanded = expand_symmetry(
-            graph, symmetry, list_schedule(symmetry.reduced)
+            graph, symmetry.rep_index, reduced.start_us, reduced.finish_us
         )
         reference = list_schedule(graph)
         _assert_identical(expanded, reference)
@@ -211,8 +233,9 @@ class TestSymmetryReduction:
         )
         symmetry = reduce_symmetry(graph)
         assert symmetry is not None
+        reduced = list_schedule(symmetry.reduced)
         expanded = expand_symmetry(
-            graph, symmetry, list_schedule(symmetry.reduced)
+            graph, symmetry.rep_index, reduced.start_us, reduced.finish_us
         )
         _assert_identical(expanded, list_schedule(graph))
 
@@ -277,14 +300,9 @@ class TestPerfIntegration:
             assert len(perf.GRAPH_BATCH_CACHE) == 0
         _assert_identical(schedule, list_schedule(graph))
 
-    def test_flags_individually_toggleable(self):
+    def test_cache_hit_identical(self):
         graph = _forward(stragglers=StragglerSpec.slow_rank(4, 1, 1.5))
-        reference = list_schedule(graph)
-        for flags in (
-            dict(graph_symmetry=False),
-            dict(graph_batch=False),
-            dict(graph_symmetry=False, graph_batch=False),
-        ):
-            perf.clear_caches()
-            with perf.configure(**flags):
-                _assert_identical(perf.cached_graph_schedule(graph), reference)
+        first = perf.cached_graph_schedule(graph)
+        assert perf.cached_graph_schedule(graph) is first
+        assert perf.GRAPH_CACHE.hits == 1
+        _assert_identical(first, list_schedule(graph))

@@ -5,12 +5,17 @@ import pytest
 from repro import (
     MIXTRAL_8X7B,
     SYSTEM_REGISTRY,
+    ExperimentSpec,
     ParallelStrategy,
     StepCostModel,
     h800_node,
     perf,
 )
+from repro.graph import scheduler as graph_scheduler
+from repro.kernels import fused
 from repro.runtime.workload import make_workload
+from repro.serve import ServeScenario, TraceSpec
+from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.systems import Comet, MegatronCutlass, Tutel
 
 CLUSTER = h800_node()
@@ -105,21 +110,95 @@ class TestTimingCache:
         assert len(perf.TIMING_CACHE) == 0
         assert perf.time_layer_calls() == 2
 
-    def test_configure_restores_flags(self):
-        assert perf.CONFIG.analytic_layer0
-        with perf.configure(analytic_layer0=False):
-            assert not perf.CONFIG.analytic_layer0
-        assert perf.CONFIG.analytic_layer0
-        with pytest.raises(ValueError):
-            with perf.configure(nonsense=True):
-                pass
-
     def test_shared_workload_returns_same_object(self):
         perf.clear_caches()
         a = perf.shared_workload(MIXTRAL_8X7B, CLUSTER, STRATEGY, 1024)
         b = perf.shared_workload(MIXTRAL_8X7B, CLUSTER, STRATEGY, 1024)
         assert a is b
         assert perf.WORKLOAD_CACHE.hits == 1
+
+
+class TestReferenceSwitch:
+    """``perf.disabled()`` sets the one switch, ``CONFIG.reference``:
+    every tier runs its reference path and no cache fills."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_reference_paths_run(self, monkeypatch):
+        layer0 = self._count(monkeypatch, fused, "layer0_makespan_reference")
+        des = self._count(monkeypatch, ContinuousBatchingScheduler, "_run_des")
+        lists = self._count(monkeypatch, graph_scheduler, "list_schedule")
+        serve = ServeScenario(
+            config=MIXTRAL_8X7B,
+            cluster=CLUSTER,
+            strategy=STRATEGY,
+            trace=TraceSpec(kind="poisson", rps=50.0, duration_s=0.5, seed=0),
+        )
+        grid = ExperimentSpec.grid(
+            models=MIXTRAL_8X7B,
+            clusters=CLUSTER,
+            strategies=(1, 8),
+            tokens=1024,
+            overlap_policies=("per_layer", "shortcut"),
+            stragglers=(None, 1.5),
+            systems="comet",
+        )
+
+        def run():
+            grid.run(level="model")
+            serve.run_system(Comet())
+
+        perf.clear_caches()
+        run()
+        assert not layer0 and not des and not lists
+        perf.clear_caches()
+        with perf.disabled():
+            run()
+        assert layer0 and des and lists
+        assert len(perf.GRAPH_CACHE) == 0
+        assert len(perf.GRAPH_BATCH_CACHE) == 0
+        assert len(perf.TIMING_CACHE) == 0
+
+    def test_comet_simulates_every_rank(self, monkeypatch):
+        # Under TP8 every rank's layer1 kernel is the same, so the
+        # production path runs it once where the reference runs it on
+        # all eight ranks.
+        workload = make_workload(
+            MIXTRAL_8X7B, CLUSTER, ParallelStrategy(8, 1), 1024
+        )
+        calls = self._count(monkeypatch, Comet, "_run_layer1_kernel")
+        Comet().time_layer(workload)
+        fast = len(calls)
+        calls.clear()
+        with perf.disabled():
+            Comet().time_layer(workload)
+        assert len(calls) - fast == workload.world_size - 1
+
+    def test_switch_restored_after_nesting_and_errors(self):
+        assert not perf.CONFIG.reference
+        with perf.disabled():
+            with perf.disabled():
+                assert perf.CONFIG.reference
+            assert perf.CONFIG.reference
+        assert not perf.CONFIG.reference
+        with pytest.raises(RuntimeError):
+            with perf.disabled():
+                raise RuntimeError("boom")
+        assert not perf.CONFIG.reference
+
+    def test_config_has_one_field(self):
+        assert list(vars(perf.PerfConfig())) == ["reference"]
+        assert not hasattr(perf, "configure")
 
 
 class TestStepCostModelCache:

@@ -76,10 +76,9 @@ def test_analytic_scheduler_bit_identical(
         nc=nc if schedule.num_remote else 0,
         arrival_fn=arrival_fn,
     )
-    with perf.configure(analytic_layer0=False):
+    with perf.disabled():
         slow = simulate_layer0_fused(CLUSTER.gpu, CLUSTER.link, schedule, **kwargs)
-    with perf.configure(analytic_layer0=True):
-        fast = simulate_layer0_fused(CLUSTER.gpu, CLUSTER.link, schedule, **kwargs)
+    fast = simulate_layer0_fused(CLUSTER.gpu, CLUSTER.link, schedule, **kwargs)
     assert slow == fast  # bit-identical, not approx
 
 
@@ -121,10 +120,9 @@ def test_rank_dedup_identical_layer_timing(tp, ep, imbalance_std):
         imbalance_std=imbalance_std,
         seed=3,
     )
-    with perf.configure(rank_dedup=False, timing_cache=False):
+    with perf.disabled():
         slow = Comet().time_layer(workload)
-    with perf.configure(rank_dedup=True, timing_cache=False):
-        fast = Comet().time_layer(workload)
+    fast = Comet().time_layer(workload)
     assert slow == fast
 
 
@@ -134,10 +132,9 @@ def test_rank_dedup_fabric_mode_unaffected():
     workload = make_workload(
         MIXTRAL_8X7B, CLUSTER, ParallelStrategy(1, 8), total_tokens=2048
     )
-    with perf.configure(rank_dedup=False, timing_cache=False):
+    with perf.disabled():
         slow = Comet(fabric_contention=True).time_layer(workload)
-    with perf.configure(rank_dedup=True, timing_cache=False):
-        fast = Comet(fabric_contention=True).time_layer(workload)
+    fast = Comet(fabric_contention=True).time_layer(workload)
     assert slow == fast
 
 

@@ -1,7 +1,7 @@
 """Property suite: symmetry-reduced and batched schedules == list == DES.
 
-Hypothesis-driven generators covering the three scheduling fast paths
-of the raw-speed round-2 work:
+Hypothesis-driven generators covering the graph scheduling production
+path (:func:`repro.graph.batch.schedule`) and its parts:
 
 * *chain graphs* — per-stream transitive chains with random extra edges,
   the shape :func:`repro.graph.batch.compile_topology` must verify and
@@ -14,7 +14,7 @@ of the raw-speed round-2 work:
   takes a fast path or falls back;
 * *builder graphs* — real :func:`~repro.graph.lower.build_forward_graph`
   lowerings over random straggler classes, scheduled through
-  :func:`repro.perf.cached_graph_schedule` with every flag combination.
+  :func:`repro.perf.cached_graph_schedule`.
 
 All assertions are exact ``==`` on floats — never approximate — and the
 DES reference executor arbitrates.
@@ -41,8 +41,8 @@ from repro.graph import (
     fast_schedule,
     list_schedule,
     reduce_symmetry,
-    schedule_batch,
 )
+from repro.graph.batch import schedule
 
 KINDS = tuple(NodeKind)
 
@@ -195,8 +195,9 @@ def test_blocked_graphs_fold_and_expand_exactly(
         return
     assert len(symmetry.reps) < world
     assert len(symmetry.reduced) == graph.__len__() // world * len(symmetry.reps)
+    reduced = list_schedule(symmetry.reduced)
     expanded = expand_symmetry(
-        graph, symmetry, list_schedule(symmetry.reduced)
+        graph, symmetry.rep_index, reduced.start_us, reduced.finish_us
     )
     _assert_trio(expanded, graph)
     # The composed perf path (symmetry + compiled recurrence + cache).
@@ -223,20 +224,19 @@ def test_arbitrary_graphs_never_diverge(seed, num_nodes, num_ranks, zero_fractio
     batch=st.integers(min_value=2, max_value=6),
 )
 @settings(max_examples=30, deadline=None)
-def test_schedule_batch_equals_per_graph(seed, batch):
+def test_schedule_with_warm_structures(seed, batch):
+    """Graphs scheduled one after another share cached compiled
+    structures whenever their topologies coincide; none may diverge."""
     rng = random.Random(seed)
-    graphs = []
+    perf.clear_caches()
     for _ in range(batch):
         if rng.random() < 0.5:
-            graphs.append(_chain_graph(rng.randrange(10_000), 30, 2, 0.2))
+            graph = _chain_graph(rng.randrange(10_000), 30, 2, 0.2)
         else:
-            graphs.append(_random_graph(rng.randrange(10_000), 30, 2, 0.2))
-    perf.clear_caches()
-    schedules = schedule_batch(graphs)
-    assert len(schedules) == len(graphs)
-    for graph, schedule in zip(graphs, schedules):
-        assert schedule.graph is graph
-        _assert_trio(schedule, graph)
+            graph = _random_graph(rng.randrange(10_000), 30, 2, 0.2)
+        fast = schedule(graph)
+        assert fast.graph is graph
+        _assert_trio(fast, graph)
 
 
 @given(

@@ -128,6 +128,16 @@ class TestValidation:
                 kind="replay", arrivals_ms=(1.0, 2.0), replay_lengths=((10, 1),)
             )
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -1.0])
+    def test_request_rejects_bad_arrival(self, arrival):
+        with pytest.raises(ValueError, match="arrival_ms"):
+            Request(rid=0, arrival_ms=arrival, prompt_tokens=10, output_tokens=10)
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -1.0])
+    def test_replay_spec_rejects_bad_arrival(self, arrival):
+        with pytest.raises(ValueError, match=r"arrivals_ms\[1\]"):
+            TraceSpec(kind="replay", arrivals_ms=(0.0, arrival, 5.0))
+
     def test_request_validates_tokens(self):
         with pytest.raises(ValueError, match="output token"):
             Request(rid=0, arrival_ms=0.0, prompt_tokens=4, output_tokens=0)
